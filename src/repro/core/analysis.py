@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterator, Optional
+from typing import Optional, Sequence
 
 from repro.core.detectors.duplicates import (
     DuplicateTransferPass,
-    count_redundant_transfers,
     find_duplicate_transfers,
     find_duplicate_transfers_columnar,
+)
+from repro.core.detectors.finding_columns import (
+    FINDING_CLASSES,
+    FindingColumns,
+    FindingRows,
 )
 from repro.core.detectors.findings import (
     DuplicateTransferGroup,
@@ -21,13 +25,11 @@ from repro.core.detectors.findings import (
 )
 from repro.core.detectors.repeated_allocs import (
     RepeatedAllocationPass,
-    count_redundant_allocations,
     find_repeated_allocations,
     find_repeated_allocations_columnar,
 )
 from repro.core.detectors.roundtrips import (
     RoundTripPass,
-    count_round_trips,
     find_round_trips,
     find_round_trips_columnar,
 )
@@ -41,7 +43,7 @@ from repro.core.detectors.unused_transfers import (
     find_unused_transfers,
     find_unused_transfers_columnar,
 )
-from repro.core.engine import PassSpec, resolve_engine
+from repro.core.engine import PassSpec, engine_registry_name, resolve_engine
 from repro.core.potential import OptimizationPotential, estimate_potential
 from repro.dwarf.debuginfo import DebugInfoRegistry
 from repro.events.columnar import ColumnarTrace
@@ -88,20 +90,54 @@ class IssueCounts:
         """The non-empty issue classes, in Table 2's abbreviation form."""
         return [name for name, count in self.as_dict().items() if count > 0]
 
+    @classmethod
+    def from_rows(cls, rows: Sequence[FindingRows]) -> "IssueCounts":
+        """The counts of the five finding classes' row tables, in pass order."""
+        return cls(*(r.issues for r in rows))
+
 
 @dataclass
 class AnalysisReport:
-    """Aggregated result of running all five detectors on one trace."""
+    """Aggregated result of running all five detectors on one trace.
+
+    ``findings`` holds one :class:`FindingColumns` per finding class, in
+    pass order; the counts, the potential and the rendered report are all
+    computed from their row tables (:attr:`rows`).  The ``*_groups`` /
+    ``unused_*`` attributes are views of the same findings as ``*Group``
+    objects: a report analysed from a stream builds them on first access
+    (one targeted re-scan of the shards holding them) and caches them.
+    """
 
     trace: TraceLike
+    findings: tuple[FindingColumns, ...]
     counts: IssueCounts
-    duplicate_groups: list[DuplicateTransferGroup]
-    round_trip_groups: list[RoundTripGroup]
-    repeated_alloc_groups: list[RepeatedAllocationGroup]
-    unused_allocations: list[UnusedAllocation]
-    unused_transfers: list[UnusedTransfer]
     potential: OptimizationPotential
     debug_info: Optional[DebugInfoRegistry] = None
+
+    @property
+    def rows(self) -> list[FindingRows]:
+        """The per-class row tables, in pass order."""
+        return [columns.rows() for columns in self.findings]
+
+    @property
+    def duplicate_groups(self) -> list[DuplicateTransferGroup]:
+        return self.findings[0].groups()
+
+    @property
+    def round_trip_groups(self) -> list[RoundTripGroup]:
+        return self.findings[1].groups()
+
+    @property
+    def repeated_alloc_groups(self) -> list[RepeatedAllocationGroup]:
+        return self.findings[2].groups()
+
+    @property
+    def unused_allocations(self) -> list[UnusedAllocation]:
+        return self.findings[3].groups()
+
+    @property
+    def unused_transfers(self) -> list[UnusedTransfer]:
+        return self.findings[4].groups()
 
     @property
     def has_issues(self) -> bool:
@@ -120,33 +156,6 @@ class AnalysisReport:
             "potential": self.potential.as_dict(),
         }
 
-
-@dataclass
-class StreamAnalysisReport(AnalysisReport):
-    """An :class:`AnalysisReport` that also carries how the run executed.
-
-    :func:`analyze_stream` returns this so callers stop reaching into
-    ``engine.stats`` by side channel: the engine's name, its final
-    ``stats`` block (the stable contract documented on
-    :func:`repro.core.engine.resolve_engine`), and coarse wall/overhead
-    timings travel with the findings.
-
-    ``findings_by_pass`` exposes the per-pass findings as a mapping keyed
-    by detector name.  The report also still unpacks like the historic
-    five-element findings list (``dup, rt, ra, ua, ut = report``) for one
-    deprecation cycle; sequence access warns once per process.
-    """
-
-    #: Registry name of the engine that ran the folds (e.g. "distributed").
-    engine_name: str = "serial"
-    #: Snapshot of ``engine.stats`` after the run ({} for engines
-    #: that report none).
-    engine_stats: dict = field(default_factory=dict)
-    #: Coarse timings: ``wall_seconds`` (whole analysis),
-    #: ``engine_seconds`` (fold/finalize inside ``engine.run``), and
-    #: ``overhead_seconds`` (assembly outside the engine).
-    timings: dict = field(default_factory=dict)
-
     @property
     def findings_by_pass(self) -> dict[str, list]:
         """Per-pass findings keyed by detector name, in pass order."""
@@ -158,31 +167,27 @@ class StreamAnalysisReport(AnalysisReport):
             "unused_transfers": self.unused_transfers,
         }
 
-    # -- deprecated sequence shim (one cycle) -------------------------- #
-    def _findings_list(self) -> list[list]:
-        from repro.core.engine import _warn_deprecated_once
 
-        _warn_deprecated_once(
-            "stream-report-sequence",
-            "treating the analyze_stream result as a findings list is "
-            "deprecated; use report.findings_by_pass (or the named "
-            "report attributes) instead",
-        )
-        return list(self.findings_by_pass.values())
+@dataclass
+class StreamAnalysisReport(AnalysisReport):
+    """An :class:`AnalysisReport` that also carries how the run executed.
 
-    def __len__(self) -> int:
-        return len(self._findings_list())
+    :func:`analyze_stream` returns this so callers stop reaching into
+    ``engine.stats`` by side channel: the engine's name, its final
+    ``stats`` block (the stable contract documented on
+    :func:`repro.core.engine.resolve_engine`), and coarse wall/overhead
+    timings travel with the findings.
+    """
 
-    def __iter__(self) -> Iterator[list]:
-        return iter(self._findings_list())
-
-    def __getitem__(self, key):
-        return self._findings_list()[key]
-
-    def __bool__(self) -> bool:
-        # Defined so truthiness does not route through the deprecated
-        # sequence shim's __len__.
-        return True
+    #: Registry name of the engine that ran the folds (e.g. "distributed").
+    engine_name: str = "serial"
+    #: Snapshot of ``engine.stats`` after the run ({} for engines
+    #: that report none).
+    engine_stats: dict = field(default_factory=dict)
+    #: Coarse timings: ``wall_seconds`` (whole analysis),
+    #: ``engine_seconds`` (fold/finalize inside ``engine.run``), and
+    #: ``overhead_seconds`` (assembly outside the engine).
+    timings: dict = field(default_factory=dict)
 
 
 def analyze_trace(
@@ -214,15 +219,14 @@ def analyze_trace(
         unused_allocs = find_unused_allocations(targets, data_ops, num_devices)
         unused_txs = find_unused_transfers(targets, data_ops, num_devices)
 
-    return _assemble_report(
-        trace,
-        duplicate_groups,
-        round_trip_groups,
-        repeated_alloc_groups,
-        unused_allocs,
-        unused_txs,
-        debug_info,
+    findings = tuple(
+        FindingColumns.from_groups(kind, groups)
+        for kind, groups in zip(
+            FINDING_CLASSES,
+            (duplicate_groups, round_trip_groups, repeated_alloc_groups, unused_allocs, unused_txs),
+        )
     )
+    return AnalysisReport(trace, findings, *_counts_and_potential(trace, findings), debug_info)
 
 
 def analyze_stream(
@@ -287,24 +291,17 @@ def analyze_stream(
         PassSpec(UnusedTransferPass, {"num_devices": num_devices}),
     )
     run_started = perf_counter()
-    results = eng.run(specs, stream, jobs=jobs)
+    findings = tuple(eng.run(specs, stream, jobs=jobs))
     engine_seconds = perf_counter() - run_started
-    duplicate_groups, round_trip_groups, repeated_alloc_groups, unused_allocs, unused_txs = results
-
-    report = _assemble_report(
-        trace_like_view(stream),
-        duplicate_groups,
-        round_trip_groups,
-        repeated_alloc_groups,
-        unused_allocs,
-        unused_txs,
-        debug_info,
-    )
+    trace = trace_like_view(stream)
+    counts, potential = _counts_and_potential(trace, findings)
     wall = perf_counter() - started
-    from repro.core.engine import engine_registry_name
-
     return StreamAnalysisReport(
-        **{f.name: getattr(report, f.name) for f in fields(AnalysisReport)},
+        trace,
+        findings,
+        counts,
+        potential,
+        debug_info,
         engine_name=engine_registry_name(eng),
         engine_stats=dict(getattr(eng, "stats", {}) or {}),
         timings={
@@ -315,38 +312,8 @@ def analyze_stream(
     )
 
 
-def _assemble_report(
-    trace: TraceLike,
-    duplicate_groups,
-    round_trip_groups,
-    repeated_alloc_groups,
-    unused_allocs,
-    unused_txs,
-    debug_info: Optional[DebugInfoRegistry],
-) -> AnalysisReport:
-    counts = IssueCounts(
-        duplicate_transfers=count_redundant_transfers(duplicate_groups),
-        round_trips=count_round_trips(round_trip_groups),
-        repeated_allocations=count_redundant_allocations(repeated_alloc_groups),
-        unused_allocations=len(unused_allocs),
-        unused_transfers=len(unused_txs),
-    )
-    potential = estimate_potential(
-        trace,
-        duplicate_groups=duplicate_groups,
-        round_trip_groups=round_trip_groups,
-        repeated_alloc_groups=repeated_alloc_groups,
-        unused_allocations=unused_allocs,
-        unused_transfers=unused_txs,
-    )
-    return AnalysisReport(
-        trace=trace,
-        counts=counts,
-        duplicate_groups=duplicate_groups,
-        round_trip_groups=round_trip_groups,
-        repeated_alloc_groups=repeated_alloc_groups,
-        unused_allocations=unused_allocs,
-        unused_transfers=unused_txs,
-        potential=potential,
-        debug_info=debug_info,
-    )
+def _counts_and_potential(
+    trace: TraceLike, findings: Sequence[FindingColumns]
+) -> tuple[IssueCounts, OptimizationPotential]:
+    rows = [columns.rows() for columns in findings]
+    return IssueCounts.from_rows(rows), estimate_potential(trace, rows=rows)

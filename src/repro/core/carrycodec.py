@@ -16,7 +16,9 @@ appear in carries:
 * the registered carry-bearing classes (grow arrays, column buffers,
   kernel cursors, composite-key counters, alloc pairers, per-device
   transfer state and the five detector passes), serialised as their
-  ``__dict__`` and restored without running ``__init__``.
+  ``__dict__`` and restored without running ``__init__``, and the
+  finalized :class:`~repro.core.detectors.finding_columns.FindingColumns`
+  (serialised without their stream binding or cached views).
 
 The format is deterministic (``encode(decode(encode(x))) == encode(x)``)
 and the decoded carries are bit-identical inputs to ``merge``/``finalize``:
@@ -97,6 +99,7 @@ def _registry() -> Dict[str, Tuple[Type, Callable, Callable]]:
     # themselves be imported while this module loads).
     from repro.core.detectors import _streaming as streaming
     from repro.core.detectors.duplicates import DuplicateTransferPass
+    from repro.core.detectors.finding_columns import FindingColumns
     from repro.core.detectors.repeated_allocs import RepeatedAllocationPass
     from repro.core.detectors.roundtrips import RoundTripPass
     from repro.core.detectors.unused_allocs import UnusedAllocationPass
@@ -110,8 +113,14 @@ def _registry() -> Dict[str, Tuple[Type, Callable, Callable]]:
         grow.extend(state["data"])
         return grow
 
+    def findings_restore(state: Any) -> Any:
+        columns = FindingColumns.__new__(FindingColumns)
+        columns.__setstate__(state)
+        return columns
+
     table: Dict[str, Tuple[Type, Callable, Callable]] = {
         "GrowArray": (streaming.GrowArray, _growarray_state, growarray_restore),
+        "FindingColumns": (FindingColumns, FindingColumns.__getstate__, findings_restore),
     }
     for name, cls in (
         ("ColumnBuffer", streaming.ColumnBuffer),

@@ -12,8 +12,8 @@ small carry state and never hold a whole trace.  The carries they share:
   count, the smallest global position observed and that row's payload.
   Folding a batch reports which rows belong to keys that have reached the
   group threshold, which is all the duplicate/repeated-allocation
-  detectors need to collect group members as positions (events are only
-  materialised for findings, in one targeted pass at the end).
+  detectors need to collect group members as positions (finalize returns
+  them as position columns; no event objects are built).
 * :class:`StreamingAllocPairer` — the streaming twin of
   :func:`repro.events.records.get_alloc_delete_pairs`: carries the open
   allocations across batch boundaries and emits completed
@@ -768,8 +768,10 @@ class StreamingPass:
 
     ``fold`` consumes one columnar batch (with the global data-op row
     offset of its first row) and updates the carry; ``finalize`` closes the
-    carry and materialises findings — it may re-scan the stream, but only
-    the shards that contain finding rows.  A pass instance is single-use.
+    carry and returns the findings as
+    :class:`~repro.core.detectors.finding_columns.FindingColumns` — it
+    re-scans only the shards that contain finding rows, to gather the few
+    event fields a report needs.  A pass instance is single-use.
 
     Passes are *partition-mergeable*: ``a.merge(b)``, where ``a`` folded an
     earlier contiguous batch range and ``b`` the immediately following one,
@@ -801,8 +803,8 @@ class StreamingPass:
         raise NotImplementedError
 
 
-def run_streaming_pass(pass_: StreamingPass, stream) -> list:
-    """Drive one pass over a stream: the ``find_*_streaming`` entry point."""
+def run_streaming_pass(pass_: StreamingPass, stream):
+    """Drive one pass over a stream and return its finding columns."""
     offset = 0
     for batch in stream.batches():
         pass_.fold(batch, offset)
@@ -817,7 +819,7 @@ def run_streaming_passes(passes: Sequence[StreamingPass], stream, *, jobs: int =
     multi-fold shape of the streaming pipeline.  With ``jobs > 1`` the scan
     becomes a two-stage pipeline: a prefetch thread decodes the next shard
     while the folds consume the current one (decode releases the GIL), and
-    the finalizes — whose targeted materialisation scans are independent —
+    the finalizes — whose targeted gather scans are independent —
     run concurrently on a thread pool.
     """
     if jobs < 1:

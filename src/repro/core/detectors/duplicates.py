@@ -22,11 +22,11 @@ from repro.core.detectors._streaming import (
     merge_uid_buffers,
     run_streaming_pass,
 )
+from repro.core.detectors.finding_columns import DUPLICATES, FindingColumns, group_members
 from repro.core.detectors.findings import DuplicateTransferGroup
 from repro.events.columnar import ColumnarTrace
 from repro.events.protocol import EventStream
 from repro.events.records import DataOpEvent
-from repro.events.stream import materialize_data_op_events
 
 
 def find_duplicate_transfers(
@@ -135,7 +135,7 @@ def find_duplicate_transfers_columnar(
 
 
 class DuplicateTransferPass(StreamingPass):
-    """Incremental Algorithm 1: fold shards, finalize to groups.
+    """Incremental Algorithm 1: fold shards, finalize to finding columns.
 
     Findings are identical to the batch implementations.  Carry state is a
     :class:`CompositeKeyCounter` over ``(hash, destination device)`` —
@@ -143,8 +143,8 @@ class DuplicateTransferPass(StreamingPass):
     the native tool's hash map — plus the positions of members of keys
     that reached the group threshold (O(findings)).  When a key crosses
     from one member to two, its retained first position is pulled into the
-    member set, so no rescan is needed for counting; events are
-    materialised once at finalize, only for the rows in findings.
+    member set, so no rescan is needed for counting.  Finalize returns
+    the groups as :class:`FindingColumns`.
     """
 
     def __init__(self, *, min_bytes: int = 0) -> None:
@@ -213,35 +213,21 @@ class DuplicateTransferPass(StreamingPass):
             self._hash.append(km.promoted_keys[0])
             self._dest.append(km.promoted_keys[1])
 
-    def finalize(self, stream) -> list[DuplicateTransferGroup]:
-        all_gpos = self._gpos.concat()
-        if all_gpos.size == 0:
-            return []
-        all_group = self._group.concat()
-        all_hash = self._hash.concat()
-        all_dest = self._dest.concat()
-
-        order = np.lexsort((all_gpos, all_group))
-        events = materialize_data_op_events(stream, all_gpos)
-
+    def finalize(self, stream) -> FindingColumns:
         # Members grouped by stable key uid, chronological inside each
-        # group; groups emitted in order of their first (earliest) member,
+        # group; groups in order of their first (earliest) member,
         # matching the oracle's first-occurrence ordering.
-        keyed: list[tuple[int, DuplicateTransferGroup]] = []
-        sorted_group = all_group[order]
-        boundaries = np.flatnonzero(sorted_group[1:] != sorted_group[:-1]) + 1
-        for member_rows in np.split(order, boundaries):
-            group_events = tuple(events[int(all_gpos[i])] for i in member_rows)
-            keyed.append((
-                int(all_gpos[member_rows[0]]),
-                DuplicateTransferGroup(
-                    content_hash=int(all_hash[member_rows[0]]),
-                    dest_device_num=int(all_dest[member_rows[0]]),
-                    events=group_events,
-                ),
-            ))
-        keyed.sort(key=lambda pair: pair[0])
-        return [group for _, group in keyed]
+        all_gpos = self._gpos.concat()
+        offsets, rows = group_members(all_gpos, self._group.concat())
+        heads = rows[offsets[:-1]]
+        return FindingColumns.gathered(
+            DUPLICATES,
+            stream,
+            offsets,
+            all_gpos[rows],
+            content_hash=self._hash.concat()[heads],
+            device=self._dest.concat()[heads],
+        )
 
 
 def find_duplicate_transfers_streaming(
@@ -250,7 +236,7 @@ def find_duplicate_transfers_streaming(
     min_bytes: int = 0,
 ) -> list[DuplicateTransferGroup]:
     """Incremental Algorithm 1 over an event stream (one shard at a time)."""
-    return run_streaming_pass(DuplicateTransferPass(min_bytes=min_bytes), stream)
+    return run_streaming_pass(DuplicateTransferPass(min_bytes=min_bytes), stream).groups()
 
 
 def count_redundant_transfers(groups: Sequence[DuplicateTransferGroup]) -> int:

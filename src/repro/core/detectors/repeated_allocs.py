@@ -25,11 +25,15 @@ from repro.core.detectors._streaming import (
     merge_uid_buffers,
     run_streaming_pass,
 )
+from repro.core.detectors.finding_columns import (
+    REPEATED_ALLOCS,
+    FindingColumns,
+    group_members,
+)
 from repro.core.detectors.findings import RepeatedAllocationGroup
 from repro.events.columnar import ColumnarTrace
 from repro.events.protocol import EventStream
 from repro.events.records import AllocationPair, DataOpEvent, get_alloc_delete_pairs
-from repro.events.stream import materialize_data_op_events
 
 
 def find_repeated_allocations(
@@ -145,14 +149,14 @@ def find_repeated_allocations_columnar(
 
 
 class RepeatedAllocationPass(StreamingPass):
-    """Incremental Algorithm 3: fold pairs, finalize to groups.
+    """Incremental Algorithm 3: fold pairs, finalize to finding columns.
 
     Carry state: the open allocations (a :class:`StreamingAllocPairer`,
     O(live mappings)) and a :class:`CompositeKeyCounter` over the
     ``(host address, device, size)`` mapping keys, holding count and first
     pair per key.  Completed pairs are counted as their deletes arrive;
     pairs of keys that reached two members are kept as position pairs
-    (O(findings)) and materialised once at finalize.
+    (O(findings)), which finalize returns as :class:`FindingColumns`.
     """
 
     def __init__(self, *, require_deletion: bool = True) -> None:
@@ -229,51 +233,26 @@ class RepeatedAllocationPass(StreamingPass):
             self._nbytes.append(km.promoted_keys[2])
         self._count(stitched)
 
-    def finalize(self, stream) -> list[RepeatedAllocationGroup]:
+    def finalize(self, stream) -> FindingColumns:
         if not self.require_deletion:
             self._count(self._pairer.finalize())
 
-        alloc_gpos = self._alloc.concat()
-        if alloc_gpos.size == 0:
-            return []
-        delete_gpos = self._delete.concat()
-        group_uid = self._group.concat()
-        host = self._host.concat()
-        dev = self._dev.concat()
-        nbytes = self._nbytes.concat()
-
-        order = np.lexsort((alloc_gpos, group_uid))
-        needed = np.concatenate([alloc_gpos, delete_gpos[delete_gpos >= 0]])
-        events = materialize_data_op_events(stream, needed)
-
         # Pairs grouped by stable key uid, alloc-ordered inside each group;
-        # groups emitted in order of their earliest counted pair, matching
-        # the oracle's first-qualifying-pair ordering.
-        keyed: list[tuple[int, RepeatedAllocationGroup]] = []
-        sorted_group = group_uid[order]
-        boundaries = np.flatnonzero(sorted_group[1:] != sorted_group[:-1]) + 1
-        for member_rows in np.split(order, boundaries):
-            allocations = tuple(
-                AllocationPair(
-                    alloc_event=events[int(alloc_gpos[i])],
-                    delete_event=(
-                        events[int(delete_gpos[i])] if delete_gpos[i] >= 0 else None
-                    ),
-                )
-                for i in member_rows
-            )
-            head = member_rows[0]
-            keyed.append((
-                int(alloc_gpos[head]),
-                RepeatedAllocationGroup(
-                    host_addr=int(host[head]),
-                    device_num=int(dev[head]),
-                    nbytes=int(nbytes[head]),
-                    allocations=allocations,
-                ),
-            ))
-        keyed.sort(key=lambda pair: pair[0])
-        return [group for _, group in keyed]
+        # groups in order of their earliest counted pair, matching the
+        # oracle's first-qualifying-pair ordering.
+        alloc_gpos = self._alloc.concat()
+        offsets, rows = group_members(alloc_gpos, self._group.concat())
+        heads = rows[offsets[:-1]]
+        return FindingColumns.gathered(
+            REPEATED_ALLOCS,
+            stream,
+            offsets,
+            alloc_gpos[rows],
+            partner=self._delete.concat()[rows],
+            host_addr=self._host.concat()[heads],
+            device=self._dev.concat()[heads],
+            nbytes=self._nbytes.concat()[heads],
+        )
 
 
 def find_repeated_allocations_streaming(
@@ -284,7 +263,7 @@ def find_repeated_allocations_streaming(
     """Incremental Algorithm 3 over an event stream."""
     return run_streaming_pass(
         RepeatedAllocationPass(require_deletion=require_deletion), stream
-    )
+    ).groups()
 
 
 def count_redundant_allocations(groups: Sequence[RepeatedAllocationGroup]) -> int:

@@ -30,11 +30,11 @@ from repro.core.detectors._streaming import (
     first_missing_hash_seq,
     run_streaming_pass,
 )
+from repro.core.detectors.finding_columns import ROUND_TRIPS, FindingColumns
 from repro.core.detectors.findings import RoundTripGroup, RoundTripPair
 from repro.events.columnar import ColumnarTrace
 from repro.events.protocol import EventStream
 from repro.events.records import DataOpEvent
-from repro.events.stream import materialize_data_op_events
 
 
 def find_round_trips(
@@ -265,8 +265,7 @@ class RoundTripPass(StreamingPass):
     (hash, devices, start/end, position): ~40 bytes per transfer and no
     Python objects, versus the full event record either batch path holds
     in memory.  The match loop runs once at finalize over the compact
-    arrays, and only the legs of recorded trips are materialised, in one
-    targeted pass over the shards that contain them.
+    arrays, which returns the recorded trips as :class:`FindingColumns`.
     """
 
     def __init__(self, *, require_chronological: bool = True) -> None:
@@ -309,26 +308,40 @@ class RoundTripPass(StreamingPass):
         self._end.absorb(other._end)
         self._gpos.absorb(other._gpos)
 
-    def finalize(self, stream) -> list[RoundTripGroup]:
-        if self._gpos.size == 0:
-            return []
+    def finalize(self, stream) -> FindingColumns:
         gpos = self._gpos.concat()
-        group_order, round_trips = _match_trips(
-            self._hash.concat(),
-            self._src.concat(),
-            self._dst.concat(),
-            self._start.concat(),
-            self._end.concat(),
-            require_chronological=self.require_chronological,
+        if gpos.size == 0:
+            group_order, round_trips = [], {}
+        else:
+            group_order, round_trips = _match_trips(
+                self._hash.concat(),
+                self._src.concat(),
+                self._dst.concat(),
+                self._start.concat(),
+                self._end.concat(),
+                require_chronological=self.require_chronological,
+            )
+        sizes = np.fromiter(
+            (len(round_trips[key]) for key in group_order), dtype=np.int64,
+            count=len(group_order),
         )
-
-        legs: list[int] = []
-        for key in group_order:
-            for i, j in round_trips[key]:
-                legs.append(int(gpos[i]))
-                legs.append(int(gpos[j]))
-        events = materialize_data_op_events(stream, np.asarray(legs, dtype=np.int64))
-        return _build_groups(group_order, round_trips, lambda cursor: events[legs[cursor]])
+        offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        legs = np.fromiter(
+            (leg for key in group_order for trip in round_trips[key] for leg in trip),
+            dtype=np.int64, count=2 * int(offsets[-1]),
+        ).reshape(-1, 2)
+        keys = np.array(group_order, dtype=np.uint64).reshape(-1, 3)
+        return FindingColumns.gathered(
+            ROUND_TRIPS,
+            stream,
+            offsets,
+            gpos[legs[:, 0]],
+            partner=gpos[legs[:, 1]],
+            content_hash=keys[:, 0],
+            src_device=keys[:, 1],
+            device=keys[:, 2],
+        )
 
 
 def find_round_trips_streaming(
@@ -339,7 +352,7 @@ def find_round_trips_streaming(
     """Incremental Algorithm 2 over an event stream."""
     return run_streaming_pass(
         RoundTripPass(require_chronological=require_chronological), stream
-    )
+    ).groups()
 
 
 def count_round_trips(groups: Sequence[RoundTripGroup]) -> int:

@@ -23,6 +23,7 @@ from repro.core.detectors._streaming import (
     StreamingPass,
     run_streaming_pass,
 )
+from repro.core.detectors.finding_columns import UNUSED_ALLOCS, FindingColumns
 from repro.core.detectors.findings import UnusedAllocation
 from repro.events.columnar import ColumnarTrace
 from repro.events.protocol import EventStream
@@ -32,7 +33,6 @@ from repro.events.records import (
     TargetEvent,
     get_alloc_delete_pairs,
 )
-from repro.events.stream import materialize_data_op_events
 
 
 def find_unused_allocations(
@@ -329,7 +329,7 @@ class UnusedAllocationPass(StreamingPass):
             for dev in range(self.num_devices):
                 self._decide(dev, final=False)
 
-    def finalize(self, stream) -> list[UnusedAllocation]:
+    def finalize(self, stream) -> FindingColumns:
         num_devices = self.num_devices
         trace_end = self.trace_end if self.trace_end is not None else self._folded_end
         open_pairs = self._pairer.finalize()
@@ -350,29 +350,22 @@ class UnusedAllocationPass(StreamingPass):
         for dev in range(num_devices):
             self._decide(dev, final=True)
 
-        per_device: list[tuple[np.ndarray, np.ndarray]] = []
-        needed: list[np.ndarray] = []
+        allocs, deletes, devices = [], [], []
         for dev in range(num_devices):
             alloc_gpos = self._found_alloc[dev].concat()
-            delete_gpos = self._found_delete[dev].concat()
             order = np.argsort(alloc_gpos, kind="stable")
-            alloc_gpos, delete_gpos = alloc_gpos[order], delete_gpos[order]
-            per_device.append((alloc_gpos, delete_gpos))
-            needed.append(alloc_gpos)
-            needed.append(delete_gpos[delete_gpos >= 0])
-        events = materialize_data_op_events(stream, np.concatenate(needed))
-
-        unused: list[UnusedAllocation] = []
-        for alloc_gpos, delete_gpos in per_device:
-            for k in range(alloc_gpos.size):
-                pair = AllocationPair(
-                    alloc_event=events[int(alloc_gpos[k])],
-                    delete_event=(
-                        events[int(delete_gpos[k])] if delete_gpos[k] >= 0 else None
-                    ),
-                )
-                unused.append(UnusedAllocation(pair=pair))
-        return unused
+            allocs.append(alloc_gpos[order])
+            deletes.append(self._found_delete[dev].concat()[order])
+            devices.append(np.full(order.size, dev, dtype=np.int64))
+        alloc_gpos = np.concatenate(allocs)
+        return FindingColumns.gathered(
+            UNUSED_ALLOCS,
+            stream,
+            np.arange(alloc_gpos.size + 1),
+            alloc_gpos,
+            partner=np.concatenate(deletes),
+            device=np.concatenate(devices),
+        )
 
 
 def find_unused_allocations_streaming(
@@ -386,7 +379,7 @@ def find_unused_allocations_streaming(
         num_devices = stream.num_devices
     return run_streaming_pass(
         UnusedAllocationPass(num_devices, trace_end=trace_end), stream
-    )
+    ).groups()
 
 
 def count_unused_allocations(findings: Sequence[UnusedAllocation]) -> int:

@@ -22,11 +22,11 @@ from repro.core.detectors._streaming import (
     StreamingPass,
     run_streaming_pass,
 )
+from repro.core.detectors.finding_columns import UNUSED_TRANSFERS, FindingColumns
 from repro.core.detectors.findings import UnusedTransfer
 from repro.events.columnar import ColumnarTrace
 from repro.events.protocol import EventStream
 from repro.events.records import DataOpEvent, TargetEvent
-from repro.events.stream import materialize_data_op_events
 
 
 def find_unused_transfers(
@@ -393,21 +393,22 @@ class UnusedTransferPass(StreamingPass):
             if self.eager:
                 mine.classify()
 
-    def finalize(self, stream) -> list[UnusedTransfer]:
-        per_device = [state.finish() for state in self._states]
-        needed = np.concatenate([event for _, event, _ in per_device])
-        events = materialize_data_op_events(stream, needed)
-
-        unused: list[UnusedTransfer] = []
-        for _, event_gpos, overwritten in per_device:
-            for k in range(event_gpos.size):
-                unused.append(
-                    UnusedTransfer(
-                        event=events[int(event_gpos[k])],
-                        reason="overwritten" if overwritten[k] else "after_last_kernel",
-                    )
-                )
-        return unused
+    def finalize(self, stream) -> FindingColumns:
+        events, reasons, devices = [], [], []
+        for dev, state in enumerate(self._states):
+            _, event_gpos, overwritten = state.finish()
+            events.append(event_gpos)
+            reasons.append(overwritten.astype(np.int8))  # codes of REASONS
+            devices.append(np.full(event_gpos.size, dev, dtype=np.int64))
+        event_gpos = np.concatenate(events)
+        return FindingColumns.gathered(
+            UNUSED_TRANSFERS,
+            stream,
+            np.arange(event_gpos.size + 1),
+            event_gpos,
+            device=np.concatenate(devices),
+            reason=np.concatenate(reasons),
+        )
 
 
 def find_unused_transfers_streaming(
@@ -417,7 +418,7 @@ def find_unused_transfers_streaming(
     """Incremental Algorithm 5 over an event stream."""
     if num_devices is None:
         num_devices = stream.num_devices
-    return run_streaming_pass(UnusedTransferPass(num_devices), stream)
+    return run_streaming_pass(UnusedTransferPass(num_devices), stream).groups()
 
 
 def count_unused_transfers(findings: Sequence[UnusedTransfer]) -> int:

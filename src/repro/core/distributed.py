@@ -768,6 +768,16 @@ class _WorkerHandle:
             return self.proc.poll() is None
         return self.thread.is_alive()
 
+    def release(self) -> None:
+        """Let the worker go once the run is done, without waiting.
+
+        A worker process is terminated at once: every result is in, and
+        an idle worker would otherwise hold its memory until its next
+        poll sees the done marker.  A thread exits on that poll.
+        """
+        if self.proc is not None and self.proc.poll() is None:
+            self.proc.terminate()
+
     def stop(self, timeout: float = 10.0) -> None:
         if self.proc is not None:
             try:
@@ -961,13 +971,17 @@ class DistributedEngine:
         respawn_budget = num_workers
         try:
             # _coordinate folds result batches into running carries as
-            # they land, so the merged chain is in hand before the done
-            # marker releases the workers and the scratch queue is torn
-            # down.
+            # they land, so the merged chain is in hand once every task
+            # is done.
             merged = self._coordinate(
                 queue, tasks, handles, respawn_budget, transport
             )
             queue.mark_done()
+            # Finalize without waiting for the workers to notice the done
+            # marker (up to a poll interval); they are reaped afterwards.
+            for handle in handles:
+                handle.release()
+            return self._finalize(merged, stream, jobs)
         except BaseException:
             # Whatever tore the run down (including KeyboardInterrupt in
             # the coordinator), external workers must not wait forever.
@@ -983,6 +997,8 @@ class DistributedEngine:
             if scratch_dir is not None:
                 shutil.rmtree(scratch_dir, ignore_errors=True)
 
+    @staticmethod
+    def _finalize(merged: list, stream, jobs: int) -> list:
         # The five finalizes each rescan shards; a coordinator-owned shard
         # cache makes them decode each shard once between them.  A store
         # whose shards are all directly mappable flat payloads needs no

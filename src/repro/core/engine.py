@@ -21,10 +21,10 @@ stream.  How those folds execute is this module's job, behind one
   (:func:`~repro.events.transport.transport_from_spec`), opens the
   :class:`~repro.events.store.ShardedTraceStore` through it and folds its
   shard range locally, so only the spawn arguments (a spec, a
-  :class:`PartitionTask`, the pass specs) and the folded carry states —
-  small, picklable — ever cross the process boundary.  The store can
-  therefore live behind *any* transport (a local directory, a zip
-  archive, an object store), and the finalize-side materialisation scans
+  :class:`PartitionTask`, the pass specs), the folded carry states and
+  the finalized finding columns — small, codec-encoded — ever cross the
+  process boundary.  The store can therefore live behind *any* transport
+  (a local directory, a zip archive, an object store), and the finalizes
   run on the same worker pool, so a process-engine run stays off the
   parent's GIL end to end.
 
@@ -90,7 +90,8 @@ class ExecutionEngine(Protocol):
         self, specs: Sequence[PassSpec], stream: EventStream, *, jobs: int = 1
     ) -> list:
         """Fold every spec's pass over ``stream`` and return the finalized
-        findings, one entry per spec, identical to a sequential fold."""
+        findings (one ``FindingColumns`` per spec), identical to a
+        sequential fold."""
         ...
 
 
@@ -133,18 +134,6 @@ def _opt_float(text: str) -> float:
 
 def _opt_str(text: str) -> str:
     return text
-
-
-#: Deprecated call shapes warn exactly once per process, keyed by shape
-#: (the single-warning policy of the EngineConfig migration).
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _warn_deprecated_once(key: str, message: str) -> None:
-    if key in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -269,9 +258,11 @@ def _finalize_all(
 ) -> list:
     """Finalize every pass; concurrently when jobs allow.
 
-    Finalizes are independent (each may re-scan only the shards holding
-    its finding rows), exactly like the serial pipeline's parallel
-    finalize stage.
+    Finalizes are independent (each re-scans only the shards holding its
+    finding rows), exactly like the serial pipeline's parallel finalize
+    stage.  Returns one
+    :class:`~repro.core.detectors.finding_columns.FindingColumns` per
+    pass.
     """
     if jobs <= 1 or len(passes) <= 1:
         return [pass_.finalize(stream) for pass_ in passes]
@@ -374,17 +365,6 @@ def fold_store_task(
     return _fold_partition(pass_specs, partition)
 
 
-def _finalize_store_pass(spec: dict, pass_: StreamingPass):
-    """Process-worker entry point: run one pass's finalize against the store.
-
-    Finalize may re-scan the shards holding finding rows (targeted
-    materialisation); running it here keeps that scan — the last
-    GIL-bound stage of an analysis — off the parent process.  The merged
-    carry travels in, the finished findings travel out.
-    """
-    return pass_.finalize(_open_store_from_spec(spec))
-
-
 def _process_context():
     # fork keeps worker start-up (and the numpy import) off the critical
     # path, but it is only dependable on Linux — forked children crash in
@@ -422,9 +402,10 @@ class ProcessEngine:
     * carries travel as :mod:`repro.core.carrycodec` payloads, not
       pickles.
 
-    Finalize runs on the same pool (merged carries shipped out once more)
-    so the materialisation scans — the last GIL-bound stage — stay off
-    the parent process and hit the already-shared shards.
+    Finalize runs on the same pool (merged carries shipped out once more,
+    finding columns shipped back as codec payloads) so the matching and
+    the finding-row gather scans stay off the parent process and hit the
+    already-shared shards.
 
     With ``keep_pool=True`` the pool, the per-worker stores and the shard
     cache survive across ``run()`` calls (close with :meth:`close` or use
@@ -497,7 +478,10 @@ class ProcessEngine:
                 for pass_ in merged
             ]
             finalize_results = pool.collect(finalize_jobs)
-            findings = [finalize_results[job][0] for job in finalize_jobs]
+            findings = [
+                decode_carries(finalize_results[job][0])[0].bind(stream)
+                for job in finalize_jobs
+            ]
             task_stats += [finalize_results[job][1] for job in finalize_jobs]
             self.stats = self._build_stats(task_stats, len(tasks), spawn_seconds_now)
             return findings

@@ -69,7 +69,8 @@ DEFAULT_ORACLE_LIMIT = 60_000
 BASE_TRANSPORTS = ("local", "zip", "fake-object-store")
 ALL_ENGINES = ("serial", "thread", "process", "distributed")
 
-#: The report fields the differential oracle holds bit-identical.
+#: The report fields the differential oracle holds bit-identical
+#: (``render`` is the rendered report text).
 REPORT_FIELDS = (
     "counts",
     "potential",
@@ -78,6 +79,7 @@ REPORT_FIELDS = (
     "repeated_alloc_groups",
     "unused_allocations",
     "unused_transfers",
+    "render",
 )
 
 
@@ -89,12 +91,17 @@ def default_transports() -> tuple[str, ...]:
     return BASE_TRANSPORTS
 
 
+def _report_field(report, name: str):
+    value = getattr(report, name)
+    return value() if name == "render" else value
+
+
 def diff_reports(expected, actual) -> list[str]:
     """Names of the report fields on which two analysis reports disagree."""
     return [
         name
         for name in REPORT_FIELDS
-        if getattr(expected, name) != getattr(actual, name)
+        if _report_field(expected, name) != _report_field(actual, name)
     ]
 
 

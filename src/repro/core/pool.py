@@ -12,8 +12,8 @@ long-lived worker processes:
 * each worker **opens each store once**, keyed by its transport spec, and
   keeps it (plus its attached shared-shard cache) across tasks and across
   runs of a ``keep_pool=True`` engine;
-* carries cross the result queue as compact
-  :mod:`repro.core.carrycodec` payloads instead of pickles;
+* carries and finalized finding columns cross the result queue as
+  compact :mod:`repro.core.carrycodec` payloads instead of pickles;
 * every task reports an overhead breakdown (open / decode / map / fold
   seconds, cache hits, which worker ran it) so ``BENCH_engine.json`` can
   show the constants falling even on machines where wall-clock speedup
@@ -151,7 +151,7 @@ def _pool_worker(index: int, task_queue, result_queue, crash_after, progress) ->
                 )
             elif kind == _CMD_FINALIZE:
                 pass_ = decode_carries(command[4])[0]
-                payload = pass_.finalize(store)
+                payload = encode_carries([pass_.finalize(store)])
             else:
                 raise RuntimeError(f"unknown pool command {kind!r}")
             wall = perf_counter() - started
@@ -255,7 +255,8 @@ class WarmWorkerPool:
     def submit_finalize(
         self, store_spec: dict, cache_spec: Optional[dict], carry_payload: bytes
     ) -> int:
-        """Queue one pass finalize (carry travels as a codec payload)."""
+        """Queue one pass finalize (the carry travels in, and its finding
+        columns travel back, as codec payloads)."""
         return self._submit(
             (_CMD_FINALIZE, self._new_job(), store_spec, cache_spec, carry_payload)
         )

@@ -11,14 +11,24 @@ two.
 Events implicated by several patterns at once (a redundant transfer that is
 simultaneously the return leg of a round trip, say) are only counted once:
 the estimator unions the removable events by sequence number before summing
-durations.
+durations.  It reads the findings' row tables
+(:class:`~repro.core.detectors.finding_columns.FindingRows`), so it needs
+no event objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Optional, Sequence
 
+import numpy as np
+
+from repro.core.detectors.finding_columns import (
+    FINDING_CLASSES,
+    FindingColumns,
+    FindingRows,
+    is_transfer_code,
+)
 from repro.core.detectors.findings import (
     DuplicateTransferGroup,
     RepeatedAllocationGroup,
@@ -27,7 +37,6 @@ from repro.core.detectors.findings import (
     UnusedTransfer,
 )
 from repro.events.protocol import TraceLike
-from repro.events.records import DataOpEvent
 
 
 @dataclass(frozen=True)
@@ -76,32 +85,6 @@ class OptimizationPotential:
         }
 
 
-def _collect_removable(
-    duplicate_groups: Sequence[DuplicateTransferGroup],
-    round_trip_groups: Sequence[RoundTripGroup],
-    repeated_alloc_groups: Sequence[RepeatedAllocationGroup],
-    unused_allocations: Sequence[UnusedAllocation],
-    unused_transfers: Sequence[UnusedTransfer],
-) -> dict[int, DataOpEvent]:
-    removable: dict[int, DataOpEvent] = {}
-
-    def add(events: Iterable[DataOpEvent]) -> None:
-        for event in events:
-            removable.setdefault(event.seq, event)
-
-    for group in duplicate_groups:
-        add(group.removable_events())
-    for group in round_trip_groups:
-        add(group.removable_events())
-    for group in repeated_alloc_groups:
-        add(group.removable_events())
-    for finding in unused_allocations:
-        add(finding.removable_events())
-    for finding in unused_transfers:
-        add(finding.removable_events())
-    return removable
-
-
 def estimate_potential(
     trace: TraceLike,
     *,
@@ -110,21 +93,44 @@ def estimate_potential(
     repeated_alloc_groups: Sequence[RepeatedAllocationGroup] = (),
     unused_allocations: Sequence[UnusedAllocation] = (),
     unused_transfers: Sequence[UnusedTransfer] = (),
+    rows: Optional[Sequence[FindingRows]] = None,
 ) -> OptimizationPotential:
-    """Estimate the optimization potential of a trace given its findings."""
-    removable = _collect_removable(
-        duplicate_groups,
-        round_trip_groups,
-        repeated_alloc_groups,
-        unused_allocations,
-        unused_transfers,
-    )
-    time_saved = sum(e.duration for e in removable.values())
-    bytes_saved = sum(e.nbytes for e in removable.values() if e.is_transfer)
+    """Estimate the optimization potential of a trace given its findings.
+
+    The findings are either object lists (by class) or ``rows``, the
+    per-class row tables of a report
+    (:meth:`~repro.core.detectors.finding_columns.FindingColumns.rows`);
+    object lists are converted to row tables first, so both compute here
+    alike.  The removable events of every finding are taken in class
+    order and deduplicated by sequence number, keeping each first
+    occurrence; their durations are then summed left to right.
+    """
+    if rows is None:
+        rows = [
+            FindingColumns.from_groups(kind, groups).rows()
+            for kind, groups in zip(
+                FINDING_CLASSES,
+                (
+                    duplicate_groups,
+                    round_trip_groups,
+                    repeated_alloc_groups,
+                    unused_allocations,
+                    unused_transfers,
+                ),
+            )
+        ]
+    removable = {
+        name: np.concatenate([r.removable[name] for r in rows])
+        for name in ("seq", "kind", "nbytes", "duration")
+    }
+    _, first = np.unique(removable["seq"], return_index=True)
+    first.sort()  # first-insertion order
+    duration = removable["duration"][first]
+    transfer = is_transfer_code(removable["kind"][first])
     return OptimizationPotential(
         measured_runtime=trace.runtime,
-        predicted_time_saved=time_saved,
-        predicted_bytes_saved=bytes_saved,
-        predicted_ops_saved=len(removable),
-        removable_event_seqs=frozenset(removable),
+        predicted_time_saved=float(np.add.accumulate(duration)[-1]) if first.size else 0,
+        predicted_bytes_saved=int(removable["nbytes"][first][transfer].sum()),
+        predicted_ops_saved=int(first.size),
+        removable_event_seqs=frozenset(removable["seq"][first].tolist()),
     )

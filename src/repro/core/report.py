@@ -5,12 +5,20 @@ The output format follows the excerpt in the paper's artifact appendix
 the share of program time attributable to the finding, the volume involved,
 the repeat count and the source attribution, followed by an overall
 optimization-potential summary.
+
+Every section reads the report's per-class row tables
+(:class:`~repro.core.detectors.finding_columns.FindingRows`), never the
+``*Group`` objects, so rendering a report analysed from a stream builds no
+event objects.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
+from repro.core.detectors.finding_columns import REASONS
 from repro.dwarf.attribution import format_location
 from repro.util.tables import Table, format_bytes, format_seconds
 
@@ -24,117 +32,102 @@ def _percent_of_runtime(seconds: float, runtime: float) -> str:
     return f"{100.0 * seconds / runtime:.2f}%"
 
 
-def render_duplicate_section(report: "AnalysisReport") -> str:
-    table = Table(
-        ["time (%)", "wasted time", "count", "bytes", "dest device", "source location"],
-        title="OpenMP Duplicate Target Data Transfer Analysis",
-    )
+def _section(report: "AnalysisReport", index: int, title: str, headers, cells, empty: str) -> str:
+    """One issue section: the class's findings by wasted time, descending.
+
+    ``cells(rows, order)`` returns the class-specific columns (after the
+    two time columns, before the source location) for the findings in
+    ``order``.  The sort is stable, so equal wasted times keep detection
+    order.
+    """
+    rows = report.rows[index]
+    table = Table(["time (%)", "wasted time", *headers, "source location"], title=title)
     runtime = report.trace.runtime
-    for group in sorted(report.duplicate_groups, key=lambda g: g.wasted_time, reverse=True):
-        representative = group.events[1]
+    order = np.argsort(-rows.wasted_time, kind="stable")
+    wasted = rows.wasted_time[order].tolist()
+    codeptr = rows.codeptr[order].tolist()
+    has_codeptr = rows.has_codeptr[order].tolist()
+    for seconds, middle, ptr, has_ptr in zip(wasted, cells(rows, order), codeptr, has_codeptr):
         table.add_row(
             [
-                _percent_of_runtime(group.wasted_time, runtime),
-                format_seconds(group.wasted_time),
-                group.num_redundant,
-                format_bytes(group.nbytes),
-                group.dest_device_num,
-                format_location(representative.codeptr, report.debug_info),
+                _percent_of_runtime(seconds, runtime),
+                format_seconds(seconds),
+                *middle,
+                format_location(ptr if has_ptr else None, report.debug_info),
             ]
         )
-    if not report.duplicate_groups:
-        return table.render() + "\nNo duplicate data transfers detected."
+    if not len(rows):
+        return table.render() + "\n" + empty
     return table.render()
+
+
+def _count_bytes_device(rows, order):
+    return zip(
+        rows.count[order].tolist(),
+        map(format_bytes, rows.nbytes[order].tolist()),
+        rows.device[order].tolist(),
+    )
+
+
+def render_duplicate_section(report: "AnalysisReport") -> str:
+    return _section(
+        report, 0, "OpenMP Duplicate Target Data Transfer Analysis",
+        ["count", "bytes", "dest device"], _count_bytes_device,
+        "No duplicate data transfers detected.",
+    )
 
 
 def render_round_trip_section(report: "AnalysisReport") -> str:
-    table = Table(
-        ["time (%)", "wasted time", "trips", "bytes", "route", "source location"],
-        title="OpenMP Round-Trip Target Data Transfer Analysis",
-    )
-    runtime = report.trace.runtime
-    for group in sorted(report.round_trip_groups, key=lambda g: g.wasted_time, reverse=True):
-        representative = group.trips[0].rx_event
-        route = f"dev{group.src_device_num} <-> dev{group.dest_device_num}"
-        table.add_row(
-            [
-                _percent_of_runtime(group.wasted_time, runtime),
-                format_seconds(group.wasted_time),
-                group.num_trips,
-                format_bytes(group.trips[0].tx_event.nbytes),
-                route,
-                format_location(representative.codeptr, report.debug_info),
-            ]
+    def cells(rows, order):
+        sources = rows.keys["src_device"][order].tolist()
+        routes = (
+            f"dev{src} <-> dev{dst}" for src, dst in zip(sources, rows.device[order].tolist())
         )
-    if not report.round_trip_groups:
-        return table.render() + "\nNo round-trip data transfers detected."
-    return table.render()
+        return zip(
+            rows.count[order].tolist(),
+            map(format_bytes, rows.nbytes[order].tolist()),
+            routes,
+        )
+
+    return _section(
+        report, 1, "OpenMP Round-Trip Target Data Transfer Analysis",
+        ["trips", "bytes", "route"], cells,
+        "No round-trip data transfers detected.",
+    )
 
 
 def render_repeated_alloc_section(report: "AnalysisReport") -> str:
-    table = Table(
-        ["time (%)", "wasted time", "count", "bytes", "device", "source location"],
-        title="OpenMP Repeated Device Memory Allocation Analysis",
+    return _section(
+        report, 2, "OpenMP Repeated Device Memory Allocation Analysis",
+        ["count", "bytes", "device"], _count_bytes_device,
+        "No repeated device memory allocations detected.",
     )
-    runtime = report.trace.runtime
-    for group in sorted(report.repeated_alloc_groups, key=lambda g: g.wasted_time, reverse=True):
-        representative = group.allocations[1].alloc_event
-        table.add_row(
-            [
-                _percent_of_runtime(group.wasted_time, runtime),
-                format_seconds(group.wasted_time),
-                group.num_redundant,
-                format_bytes(group.nbytes),
-                group.device_num,
-                format_location(representative.codeptr, report.debug_info),
-            ]
-        )
-    if not report.repeated_alloc_groups:
-        return table.render() + "\nNo repeated device memory allocations detected."
-    return table.render()
 
 
 def render_unused_alloc_section(report: "AnalysisReport") -> str:
-    table = Table(
-        ["time (%)", "wasted time", "bytes", "device", "source location"],
-        title="OpenMP Unused Device Memory Allocation Analysis",
+    def cells(rows, order):
+        return zip(map(format_bytes, rows.nbytes[order].tolist()), rows.device[order].tolist())
+
+    return _section(
+        report, 3, "OpenMP Unused Device Memory Allocation Analysis",
+        ["bytes", "device"], cells,
+        "No unused device memory allocations detected.",
     )
-    runtime = report.trace.runtime
-    for finding in sorted(report.unused_allocations, key=lambda f: f.wasted_time, reverse=True):
-        table.add_row(
-            [
-                _percent_of_runtime(finding.wasted_time, runtime),
-                format_seconds(finding.wasted_time),
-                format_bytes(finding.nbytes),
-                finding.device_num,
-                format_location(finding.pair.alloc_event.codeptr, report.debug_info),
-            ]
-        )
-    if not report.unused_allocations:
-        return table.render() + "\nNo unused device memory allocations detected."
-    return table.render()
 
 
 def render_unused_transfer_section(report: "AnalysisReport") -> str:
-    table = Table(
-        ["time (%)", "wasted time", "bytes", "device", "reason", "source location"],
-        title="OpenMP Unused Data Transfer Analysis",
-    )
-    runtime = report.trace.runtime
-    for finding in sorted(report.unused_transfers, key=lambda f: f.wasted_time, reverse=True):
-        table.add_row(
-            [
-                _percent_of_runtime(finding.wasted_time, runtime),
-                format_seconds(finding.wasted_time),
-                format_bytes(finding.nbytes),
-                finding.device_num,
-                finding.reason,
-                format_location(finding.event.codeptr, report.debug_info),
-            ]
+    def cells(rows, order):
+        return zip(
+            map(format_bytes, rows.nbytes[order].tolist()),
+            rows.device[order].tolist(),
+            (REASONS[code] for code in rows.keys["reason"][order].tolist()),
         )
-    if not report.unused_transfers:
-        return table.render() + "\nNo unused data transfers detected."
-    return table.render()
+
+    return _section(
+        report, 4, "OpenMP Unused Data Transfer Analysis",
+        ["bytes", "device", "reason"], cells,
+        "No unused data transfers detected.",
+    )
 
 
 def render_potential_section(report: "AnalysisReport") -> str:

@@ -16,10 +16,12 @@ This module provides the glue around that protocol —
 * :class:`StreamStats` / :class:`StreamView` fold aggregate statistics out
   of a stream without materialising events (the ``TraceLike`` facade the
   analysis report holds when it was produced from a stream), and
-* :func:`materialize_data_op_events` is the shared finding-materialisation
-  pass: given global data-op row positions collected by a streaming
-  detector, it re-scans only the batches that contain them and bulk-builds
-  the corresponding :class:`~repro.events.records.DataOpEvent` objects.
+* :func:`gather_data_op_columns` / :func:`materialize_data_op_events` are
+  the finding passes: given global data-op row positions collected by a
+  streaming detector, they re-scan only the batches that contain them and
+  gather the requested columns (what finalize and the report need) or
+  bulk-build :class:`~repro.events.records.DataOpEvent` objects (what the
+  on-demand ``*Group`` views need).
 
 Global positions ("gpos") are the coordinate system of the streaming
 detectors: the index a data-op row would have in the concatenation of every
@@ -35,6 +37,7 @@ from typing import Dict, Iterator, Optional
 import numpy as np
 
 from repro.events.columnar import (
+    _DATA_OP_COLUMNS,
     DATA_OP_KIND_CODES,
     TARGET_KIND_CODES,
     ColumnarTrace,
@@ -535,47 +538,76 @@ def trace_like_view(stream_or_trace):
 # --------------------------------------------------------------------- #
 # Finding materialisation
 # --------------------------------------------------------------------- #
-def materialize_data_op_events(
-    stream: EventStream, gpos: np.ndarray
-) -> Dict[int, DataOpEvent]:
-    """Materialise the data-op events at the given global row positions.
+_DATA_OP_DTYPES = dict(_DATA_OP_COLUMNS)
 
-    Returns ``{gpos: event}``.  Batches containing no requested row are
-    skipped entirely when the stream can enumerate its batch sizes
-    (``batch_row_counts`` / ``load_batch``, implemented by the sharded
-    store and the in-memory slicer) — for an on-disk store that means the
-    untouched shards are never read.
+
+def _batches_holding(stream: EventStream, needed: np.ndarray):
+    """Yield ``(batch, lo, hi, offset)`` for every batch holding some of the
+    sorted unique positions ``needed`` (``needed[lo:hi]`` fall in it).
+
+    Batches holding no requested row are skipped entirely when the stream
+    can enumerate its batch sizes (``batch_row_counts`` / ``load_batch``,
+    implemented by the sharded store and the in-memory slicer) — for an
+    on-disk store that means the untouched shards are never read.
     """
-    needed = np.unique(np.asarray(gpos, dtype=np.int64))
-    out: Dict[int, DataOpEvent] = {}
     if needed.size == 0:
-        return out
-
+        return
     counts = getattr(stream, "batch_row_counts", None)
     loader = getattr(stream, "load_batch", None)
+    found = 0
+    offset = 0
     if counts is not None and loader is not None:
-        offset = 0
         for index, (n_do, _n_tgt) in enumerate(counts()):
             lo = int(np.searchsorted(needed, offset))
             hi = int(np.searchsorted(needed, offset + n_do))
             if hi > lo:
-                batch = loader(index)
-                local = needed[lo:hi] - offset
-                for pos, event in zip(needed[lo:hi], batch.data_op_events_at(local)):
-                    out[int(pos)] = event
+                found += hi - lo
+                yield loader(index), lo, hi, offset
             offset += n_do
     else:
-        offset = 0
         for batch in stream.batches():
             n_do = batch.num_data_op_events
             lo = int(np.searchsorted(needed, offset))
             hi = int(np.searchsorted(needed, offset + n_do))
             if hi > lo:
-                local = needed[lo:hi] - offset
-                for pos, event in zip(needed[lo:hi], batch.data_op_events_at(local)):
-                    out[int(pos)] = event
+                found += hi - lo
+                yield batch, lo, hi, offset
             offset += n_do
-
-    if len(out) != needed.size:
+    if found != needed.size:
         raise IndexError("stream ended before every requested row was found")
+
+
+def materialize_data_op_events(
+    stream: EventStream, gpos: np.ndarray
+) -> Dict[int, DataOpEvent]:
+    """Materialise the data-op events at the given global row positions.
+
+    Returns ``{gpos: event}``, re-reading only the batches that hold a
+    requested row.
+    """
+    needed = np.unique(np.asarray(gpos, dtype=np.int64))
+    out: Dict[int, DataOpEvent] = {}
+    for batch, lo, hi, offset in _batches_holding(stream, needed):
+        rows = needed[lo:hi]
+        for pos, event in zip(rows.tolist(), batch.data_op_events_at(rows - offset)):
+            out[pos] = event
     return out
+
+
+def gather_data_op_columns(
+    stream: EventStream, gpos: np.ndarray, names: tuple[str, ...]
+) -> Dict[str, np.ndarray]:
+    """Gather data-op columns at global row positions, without events.
+
+    Returns ``{name: array}`` aligned with ``gpos`` (which may repeat and
+    need not be sorted), reading only the batches that hold a requested
+    row — the column twin of :func:`materialize_data_op_events`.
+    """
+    gpos = np.asarray(gpos, dtype=np.int64)
+    needed, inverse = np.unique(gpos, return_inverse=True)
+    out = {name: np.empty(needed.size, dtype=_DATA_OP_DTYPES[name]) for name in names}
+    for batch, lo, hi, offset in _batches_holding(stream, needed):
+        local = needed[lo:hi] - offset
+        for name in names:
+            out[name][lo:hi] = batch.do_column(name)[local]
+    return {name: column[inverse] for name, column in out.items()}

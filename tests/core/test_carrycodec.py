@@ -39,6 +39,7 @@ from repro.core.engine import (
     _fold_partition,
     _merge_partition_carries,
 )
+from repro.events.columnar import ColumnarTrace
 from repro.events.stream import as_event_stream, partition_stream
 from repro.events.synth import make_synthetic_columnar_trace
 
@@ -149,3 +150,82 @@ def test_codec_rejects_garbage():
         decode_value(encode_value(1) + b"\x00")  # trailing bytes
     with pytest.raises(CarryCodecError):
         encode_value(object())  # unregistered type never silently pickles
+
+
+# --------------------------------------------------------------------- #
+# Finding columns (what finalize ships back over the pool pipe)
+# --------------------------------------------------------------------- #
+BIG_HASH = 2**64 - 5  # above 2**63: only a uint64 column holds it
+
+
+def _edge_case_trace():
+    from tests.conftest import TraceBuilder
+
+    b = TraceBuilder()
+    b.alloc(0x100, 0xA000)
+    b.h2d(0x100, 0xA000, content_hash=BIG_HASH, codeptr=2**63 + 1)
+    b.h2d(0x100, 0xA000, content_hash=3)  # overwrites the first: "overwritten"
+    b.kernel()
+    b.h2d(0x100, 0xA000, content_hash=BIG_HASH)  # duplicate receipt
+    b.kernel()
+    b.idle(1e-5)
+    b.h2d(0x100, 0xA000, content_hash=4)  # "after_last_kernel"
+    b.delete(0x100, 0xA000)
+    b.alloc(0x200, 0xB000)  # unused and never deleted: the -1 sentinel
+    return b.build()
+
+
+def _finalized_columns(trace):
+    from repro.core.engine import SerialEngine
+
+    stream = as_event_stream(ColumnarTrace.from_trace(trace), 2)
+    return stream, SerialEngine().run(_pass_specs(stream), stream)
+
+
+def test_finding_columns_round_trip_through_the_codec():
+    from repro.core.analysis import analyze_trace
+    from repro.core.detectors.finding_columns import FindingColumns
+
+    trace = _edge_case_trace()
+    stream, findings = _finalized_columns(trace)
+    payload = encode_carries(findings)
+    assert encode_carries(decode_carries(payload)) == payload
+    decoded = decode_carries(payload)
+    assert all(isinstance(columns, FindingColumns) for columns in decoded)
+    assert decoded == findings
+
+    duplicates, _, _, unused_allocs, unused_transfers = decoded
+    hashes = duplicates.keys["content_hash"]
+    assert hashes.dtype == np.uint64 and int(hashes[0]) == BIG_HASH
+    assert duplicates.legs["codeptr"].dtype == np.uint64
+    assert -1 in unused_allocs.partner.tolist()
+    assert sorted(set(unused_transfers.keys["reason"].tolist())) == [0, 1]
+
+    # Decoded columns carry no stream; bound to one, their views equal
+    # the object reference findings.
+    with pytest.raises(RuntimeError, match="bound to no stream"):
+        duplicates.groups()
+    reference = analyze_trace(trace)
+    for columns in decoded:
+        columns.bind(stream)
+    assert decoded[0] == reference.duplicate_groups
+    assert decoded[0].groups()[0].content_hash == BIG_HASH
+    assert decoded[3] == reference.unused_allocations
+    assert decoded[3].groups()[-1].pair.delete_event is None
+    assert decoded[4] == reference.unused_transfers
+    assert {f.reason for f in decoded[4].groups()} == {"overwritten", "after_last_kernel"}
+
+
+def test_empty_finding_columns_round_trip_through_the_codec():
+    from tests.conftest import TraceBuilder
+
+    b = TraceBuilder()
+    b.kernel()
+    _, findings = _finalized_columns(b.build())
+    payload = encode_carries(findings)
+    decoded = decode_carries(payload)
+    assert encode_carries(decoded) == payload
+    assert decoded == findings
+    for columns in decoded:
+        assert len(columns) == 0 and columns.offsets.tolist() == [0]
+        assert columns.groups() == []  # nothing to materialise, no stream needed

@@ -377,6 +377,57 @@ def test_self_hosted_process_workers(store, expected):
     assert stats["hints"]["suggested_worker_delta"] <= 0
 
 
+def test_raising_finalize_still_reaps_workers_and_scratch(store, monkeypatch):
+    """Finalize runs before the workers are reaped; when it raises, the
+    workers are still stopped and the scratch queue directory removed."""
+    import tempfile
+
+    from repro.core import distributed
+
+    scratch_dirs: list[str] = []
+    real_mkdtemp = tempfile.mkdtemp
+
+    def recording_mkdtemp(*args, **kwargs):
+        path = real_mkdtemp(*args, **kwargs)
+        scratch_dirs.append(path)
+        return path
+
+    handles: list = []
+    real_spawn = DistributedEngine._spawn_worker
+
+    def recording_spawn(self, transport):
+        handle = real_spawn(self, transport)
+        handles.append(handle)
+        return handle
+
+    events: list[str] = []
+    real_stop = distributed._WorkerHandle.stop
+
+    def recording_stop(self, *args, **kwargs):
+        events.append("reap")
+        return real_stop(self, *args, **kwargs)
+
+    def broken_finalize(passes, stream, jobs):
+        # The done marker is already published, but no worker has been
+        # reaped and the scratch queue still exists.
+        events.append("finalize")
+        assert os.path.exists(scratch_dirs[-1])
+        raise RuntimeError("injected finalize failure")
+
+    monkeypatch.setattr(distributed.tempfile, "mkdtemp", recording_mkdtemp)
+    monkeypatch.setattr(DistributedEngine, "_spawn_worker", recording_spawn)
+    monkeypatch.setattr(distributed, "_finalize_all", broken_finalize)
+    monkeypatch.setattr(distributed._WorkerHandle, "stop", recording_stop)
+    engine = DistributedEngine(poll_interval=0.05, lease_timeout=60.0)
+    with pytest.raises(RuntimeError, match="injected finalize failure"):
+        analyze_stream(store, engine=engine, jobs=2)
+    assert events == ["finalize", "reap", "reap"]
+    assert len(handles) == 2
+    assert not any(handle.alive() for handle in handles)
+    assert [path for path in scratch_dirs if "ompdataperf-queue-" in path]
+    assert not any(os.path.exists(path) for path in scratch_dirs)
+
+
 # --------------------------------------------------------------------- #
 # External workers (attach mode)
 # --------------------------------------------------------------------- #

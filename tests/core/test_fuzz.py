@@ -91,6 +91,36 @@ def test_injected_defect_is_caught_with_repro_command(tmp_path, monkeypatch):
     assert saved["failures"][0]["repro"] == expected
 
 
+def test_render_only_defect_is_caught_with_repro_command(monkeypatch):
+    """A leg whose findings all agree but whose rendered text does not
+    (a renderer defect) is still a failure, printed with its repro."""
+    real = fuzz.analyze_stream
+
+    def misrendering(stream, *, engine="serial", jobs=1, **kwargs):
+        report = real(stream, engine=engine, jobs=jobs, **kwargs)
+        if engine == "thread":
+            text = report.render()
+            report.render = lambda: text.replace("Analysis", "Analysys", 1)
+        return report
+
+    monkeypatch.setattr(fuzz, "analyze_stream", misrendering)
+    lines: list[str] = []
+    report = run_fuzz_sweep(
+        seed=23,
+        cases=1,
+        max_events=1200,
+        transports=("local",),
+        engines=("serial", "thread"),
+        say=lines.append,
+    )
+    (failure,) = report.failures
+    assert failure.stage == "local:thread"
+    assert "['render']" in failure.message
+    expected = repro_command(23, 1200, "local", "thread")
+    assert failure.repro == expected
+    assert any(expected in line for line in lines)
+
+
 def test_crash_in_a_leg_is_a_failure_not_an_abort(monkeypatch):
     def exploding(stream, *, engine="serial", jobs=1, **kwargs):
         raise RuntimeError("injected analyser crash")
@@ -119,6 +149,7 @@ def test_diff_reports_spots_every_field():
     assert diff_reports(a, b) == []
     b.counts = type(b.counts)()
     assert "counts" in diff_reports(a, b)
+    assert "render" in diff_reports(a, b)  # the summary line prints the counts
 
 
 def test_cli_fuzz_subcommand(tmp_path, capsys):

@@ -230,3 +230,53 @@ def test_fold_positions_track_worker_progress(store):
         positions = pool.fold_positions()
     assert len(positions) == 2
     assert sum(positions) == sum(task.num_events for task in tasks)
+
+
+def test_finalize_results_cross_the_pipe_as_codec_bytes(store, trace):
+    """A finalize job's result is an ODPC payload of finding columns —
+    never pickled ``DataOpEvent`` objects."""
+    from repro.core.carrycodec import MAGIC, decode_carries, encode_carries
+    from repro.core.detectors.finding_columns import FindingColumns
+    from repro.core.engine import _process_context
+    from repro.core.detectors.duplicates import DuplicateTransferPass
+    from repro.core.detectors.repeated_allocs import RepeatedAllocationPass
+    from repro.core.detectors.roundtrips import RoundTripPass
+    from repro.core.detectors.unused_allocs import UnusedAllocationPass
+    from repro.core.detectors.unused_transfers import UnusedTransferPass
+    from repro.core.pool import WarmWorkerPool
+
+    num_devices = max(store.num_devices, 1)
+    passes = [
+        DuplicateTransferPass(),
+        RoundTripPass(),
+        RepeatedAllocationPass(),
+        UnusedAllocationPass(num_devices),
+        UnusedTransferPass(num_devices),
+    ]
+    offset = 0
+    for batch in store.batches():
+        for pass_ in passes:
+            pass_.fold(batch, offset)
+        offset += batch.num_data_op_events
+
+    with WarmWorkerPool(1, mp_context=_process_context()) as pool:
+        jobs = [
+            pool.submit_finalize(store.transport.spec(), None, encode_carries([pass_]))
+            for pass_ in passes
+        ]
+        results = pool.collect(jobs)
+    payloads = [results[job][0] for job in jobs]
+    assert all(type(payload) is bytes for payload in payloads)
+    assert all(payload.startswith(MAGIC) for payload in payloads)
+    assert not any(b"DataOpEvent" in payload for payload in payloads)
+
+    findings = [decode_carries(payload)[0].bind(store) for payload in payloads]
+    assert all(isinstance(columns, FindingColumns) for columns in findings)
+    expected = analyze_trace(trace)
+    assert findings == [
+        expected.duplicate_groups,
+        expected.round_trip_groups,
+        expected.repeated_alloc_groups,
+        expected.unused_allocations,
+        expected.unused_transfers,
+    ]

@@ -12,7 +12,8 @@ appear in carries:
   NumPy scalars and ``np.dtype`` instances,
 * containers — ``list``, ``tuple`` and insertion-ordered ``dict``
   (composite keys such as ``(device, address)`` tuples included),
-* NumPy arrays — dtype string + shape + raw contiguous buffer,
+* NumPy arrays — dtype descriptor + shape + raw contiguous buffer
+  (structured dtypes keep their fields; object dtypes are refused),
 * the registered carry-bearing classes (grow arrays, column buffers,
   kernel cursors, composite-key counters, alloc pairers, per-device
   transfer state and the five detector passes), serialised as their
@@ -34,13 +35,14 @@ integers little-endian).
 
 from __future__ import annotations
 
+import ast
 import struct
 from typing import Any, Callable, Dict, List, Sequence, Tuple, Type
 
 import numpy as np
 
 MAGIC = b"ODPC"
-CODEC_VERSION = 1
+CODEC_VERSION = 2
 
 # Value tags.  Never renumber — bump CODEC_VERSION for incompatible changes.
 _T_NONE = 0x00
@@ -54,9 +56,9 @@ _T_BYTES = 0x07
 _T_LIST = 0x08
 _T_TUPLE = 0x09
 _T_DICT = 0x0A       # ordered (key, value) pairs
-_T_NDARRAY = 0x0B    # dtype.str, ndim, dims, contiguous buffer
-_T_NPSCALAR = 0x0C   # dtype.str, raw item bytes
-_T_DTYPE = 0x0D      # dtype.str
+_T_NDARRAY = 0x0B    # dtype text, ndim, dims, contiguous buffer
+_T_NPSCALAR = 0x0C   # dtype text, raw item bytes
+_T_DTYPE = 0x0D      # dtype text
 _T_OBJECT = 0x0E     # registered class name + encoded state
 
 
@@ -157,6 +159,17 @@ def _pack_str(out: bytearray, text: str) -> None:
     out += raw
 
 
+def _pack_dtype(out: bytearray, dtype: np.dtype) -> None:
+    # ``dtype.str`` of a structured dtype is a bare ``|V<n>``: the field
+    # names and types would silently decode as unstructured void.  Ship the
+    # ``.npy`` header descriptor instead (identical to ``dtype.str`` for
+    # plain dtypes, a list literal for structured ones).
+    if dtype.hasobject:
+        raise CarryCodecError(f"cannot encode object dtype {dtype}")
+    descr = np.lib.format.dtype_to_descr(dtype)
+    _pack_str(out, descr if isinstance(descr, str) else repr(descr))
+
+
 def _encode_value(out: bytearray, value: Any) -> None:
     if value is None:
         out.append(_T_NONE)
@@ -164,7 +177,7 @@ def _encode_value(out: bytearray, value: Any) -> None:
         # Before bool/int/float: NumPy scalars must round-trip with their
         # exact dtype so merged carries stay bit-identical to pickle's.
         out.append(_T_NPSCALAR)
-        _pack_str(out, value.dtype.str)
+        _pack_dtype(out, value.dtype)
         raw = value.tobytes()
         out += struct.pack("<I", len(raw))
         out += raw
@@ -192,7 +205,7 @@ def _encode_value(out: bytearray, value: Any) -> None:
     elif isinstance(value, np.ndarray):
         arr = np.ascontiguousarray(value)
         out.append(_T_NDARRAY)
-        _pack_str(out, arr.dtype.str)
+        _pack_dtype(out, arr.dtype)
         out.append(arr.ndim)
         out += struct.pack(f"<{arr.ndim}Q", *arr.shape)
         raw = arr.tobytes()
@@ -200,7 +213,7 @@ def _encode_value(out: bytearray, value: Any) -> None:
         out += raw
     elif isinstance(value, np.dtype):
         out.append(_T_DTYPE)
-        _pack_str(out, value.str)
+        _pack_dtype(out, value)
     elif isinstance(value, list):
         out.append(_T_LIST)
         out += struct.pack("<I", len(value))
@@ -255,6 +268,15 @@ class _Reader:
         (length,) = self.unpack("<I")
         return self.take(length).decode("utf-8")
 
+    def read_dtype(self) -> np.dtype:
+        text = self.read_str()
+        try:
+            if text.startswith("["):
+                return np.lib.format.descr_to_dtype(ast.literal_eval(text))
+            return np.dtype(text)
+        except (ValueError, TypeError, SyntaxError) as exc:
+            raise CarryCodecError(f"bad dtype {text!r} in carry payload") from exc
+
 
 def _decode_value(reader: _Reader) -> Any:
     tag = reader.take(1)[0]
@@ -289,7 +311,7 @@ def _decode_value(reader: _Reader) -> Any:
             result[key] = _decode_value(reader)
         return result
     if tag == _T_NDARRAY:
-        dtype = np.dtype(reader.read_str())
+        dtype = reader.read_dtype()
         ndim = reader.take(1)[0]
         shape = reader.unpack(f"<{ndim}Q") if ndim else ()
         (nbytes,) = reader.unpack("<Q")
@@ -297,12 +319,12 @@ def _decode_value(reader: _Reader) -> Any:
         # .copy(): frombuffer views are read-only, and carries mutate.
         return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     if tag == _T_NPSCALAR:
-        dtype = np.dtype(reader.read_str())
+        dtype = reader.read_dtype()
         (nbytes,) = reader.unpack("<I")
         raw = reader.take(nbytes)
         return np.frombuffer(raw, dtype=dtype)[0]
     if tag == _T_DTYPE:
-        return np.dtype(reader.read_str())
+        return reader.read_dtype()
     if tag == _T_OBJECT:
         _ensure_registry()
         name = reader.read_str()

@@ -7,9 +7,11 @@ small carry state and never hold a whole trace.  The carries they share:
   (amortised doubling / chunk list) for per-device cursors and compact
   column captures.
 * :class:`CompositeKeyCounter` — the streaming twin of
-  :func:`repro.core.detectors._columns.group_rows_by_key`: a lexsorted
-  key table tracking, per distinct composite key, the cumulative member
-  count, the smallest global position observed and that row's payload.
+  :func:`repro.core.detectors._columns.group_rows_by_key`: a key table,
+  sorted on one packed fixed-width key column and updated by
+  ``searchsorted`` + insert, tracking per distinct composite key the
+  cumulative member count, the smallest global position observed and
+  that row's payload.
   Folding a batch reports which rows belong to keys that have reached the
   group threshold, which is all the duplicate/repeated-allocation
   detectors need to collect group members as positions (finalize returns
@@ -41,6 +43,7 @@ independent workers and combine only small carry states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -143,9 +146,65 @@ class ColumnBuffer:
 # --------------------------------------------------------------------- #
 # Composite-key counting
 # --------------------------------------------------------------------- #
+@lru_cache(maxsize=None)
+def _key_layout(dtypes: tuple[np.dtype, ...]) -> np.dtype:
+    """The big-endian unsigned record one packed composite key occupies."""
+    return np.dtype([(f"k{j}", f">u{dt.itemsize}") for j, dt in enumerate(dtypes)])
+
+
+def _sign_bit(dt: np.dtype) -> np.unsignedinteger:
+    return np.dtype(f"u{dt.itemsize}").type(1 << (8 * dt.itemsize - 1))
+
+
+def _key_dtypes(cols: Sequence[np.ndarray]) -> tuple[np.dtype, ...]:
+    """Native-order dtypes of integer key columns (the packing schema)."""
+    dtypes = tuple(np.asarray(col).dtype.newbyteorder("=") for col in cols)
+    for dt in dtypes:
+        if dt.kind not in "biu":
+            raise TypeError(f"composite key columns must be integers, got {dt}")
+    return dtypes
+
+
+def pack_keys(cols: Sequence[np.ndarray], dtypes: tuple[np.dtype, ...]) -> np.ndarray:
+    """Pack composite keys into one fixed-width ``V{width}`` column.
+
+    Each field is stored big-endian at its own width, with the sign bit
+    flipped for signed fields, so comparing the packed bytes (what NumPy
+    does for unstructured void) orders rows exactly like ``np.lexsort``
+    over the key columns, first column most significant.
+    """
+    layout = _key_layout(dtypes)
+    packed = np.empty(len(cols[0]), dtype=layout)
+    for name, col, dt in zip(layout.names, cols, dtypes):
+        col = np.asarray(col).astype(dt, casting="safe", copy=False)
+        packed[name] = col.view(f"u{dt.itemsize}") ^ _sign_bit(dt) if dt.kind == "i" else col
+    return packed.view(f"V{layout.itemsize}")
+
+
+def unpack_keys(packed: np.ndarray, dtypes: tuple[np.dtype, ...]) -> tuple[np.ndarray, ...]:
+    """Inverse of :func:`pack_keys`: the key columns in their own dtypes."""
+    layout = _key_layout(dtypes)
+    fields = packed.view(layout)
+    cols = []
+    for name, dt in zip(layout.names, dtypes):
+        raw = fields[name].astype(f"u{dt.itemsize}")
+        if dt.kind == "i":
+            raw ^= _sign_bit(dt)
+        cols.append(raw.view(dt))
+    return tuple(cols)
+
+
+def _spliced(table: np.ndarray, rows: np.ndarray, is_row: np.ndarray) -> np.ndarray:
+    """``table`` with ``rows`` placed at the set slots of ``is_row``, in order."""
+    out = np.empty(is_row.size, dtype=table.dtype)
+    out[is_row] = rows
+    out[~is_row] = table
+    return out
+
+
 @dataclass
 class KeyFold:
-    """Result of folding one batch of keyed rows (arrays per *shard* key)."""
+    """Result of folding one batch of keyed rows (arrays per *batch* key)."""
 
     #: row index -> index into the per-batch unique-key arrays below
     inverse: np.ndarray
@@ -167,6 +226,9 @@ class KeyFold:
     prior_first_gpos: np.ndarray
     #: payload of the row at ``prior_first_gpos``
     prior_payload: np.ndarray
+    #: one batch row holding the key (its batch-minimal gpos row), for
+    #: recovering the key columns of a batch key
+    representative: np.ndarray
 
 
 @dataclass
@@ -181,7 +243,8 @@ class KeyMerge:
     records no members (its single member lives in the table as
     ``first``/``payload``); when the union reaches two members, those
     retained rows must join the member set, exactly like the ``crossed``
-    recovery inside :meth:`CompositeKeyCounter.fold`.
+    recovery inside :meth:`CompositeKeyCounter.fold`.  Promotions are in
+    merged key order, this side's row before ``other``'s within a key.
     """
 
     uid_map_self: np.ndarray
@@ -194,7 +257,14 @@ class KeyMerge:
 
 
 class CompositeKeyCounter:
-    """Incremental composite-key statistics with a lexsorted NumPy table.
+    """Incremental composite-key statistics over a sorted packed-key table.
+
+    Every composite key is packed into one fixed-width byte string whose
+    byte order is the key tuple's order (:func:`pack_keys`), and the table
+    keeps one sorted column of them.  A fold sorts only its batch, finds
+    the batch's keys in the table with ``np.searchsorted``, updates the
+    keys it finds in place and inserts the new ones: O(batch log keys)
+    compares plus one move of the table, never a sort of it.
 
     Carry is O(distinct keys) at a few dozen bytes each — the same
     asymptotics as the object detectors' hash maps, but with no per-key
@@ -203,7 +273,9 @@ class CompositeKeyCounter:
     """
 
     def __init__(self) -> None:
-        self._keys: Optional[tuple[np.ndarray, ...]] = None
+        #: sorted packed keys (``None`` until the first non-empty fold)
+        self._key: Optional[np.ndarray] = None
+        self._dtypes: tuple[np.dtype, ...] = ()
         self._count = np.empty(0, dtype=np.int64)
         self._first = np.empty(0, dtype=np.int64)
         self._uid = np.empty(0, dtype=np.int64)
@@ -214,16 +286,12 @@ class CompositeKeyCounter:
     def num_keys(self) -> int:
         return self._count.size
 
-    @staticmethod
-    def _group_boundaries(cols: Sequence[np.ndarray], order: np.ndarray) -> np.ndarray:
-        boundary = np.ones(order.size, dtype=bool)
-        if order.size > 1:
-            same = np.ones(order.size - 1, dtype=bool)
-            for col in cols:
-                sorted_col = col[order]
-                same &= sorted_col[1:] == sorted_col[:-1]
-            boundary[1:] = ~same
-        return boundary
+    def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Insert positions of sorted unique ``keys`` and which are present."""
+        pos = np.searchsorted(self._key, keys)
+        hit = pos < self._key.size
+        hit[hit] = self._key[pos[hit]] == keys[hit]
+        return pos, hit
 
     def fold(
         self,
@@ -235,119 +303,72 @@ class CompositeKeyCounter:
         n = len(gpos)
         if n == 0:
             empty = np.empty(0, dtype=np.int64)
-            return KeyFold(empty, empty, empty, empty, empty, empty, empty, empty)
+            return KeyFold(*(empty,) * 9)
+        if self._key is None:
+            self._dtypes = _key_dtypes(cols)
+            self._key = np.empty(0, dtype=f"V{_key_layout(self._dtypes).itemsize}")
         if payload is not None and self._payload is None:
             self._payload = np.zeros(self._count.size, dtype=np.int64)
         track_payload = self._payload is not None
-        if track_payload and payload is None:
-            payload = np.zeros(n, dtype=np.int64)
 
         # Batch-local uniques: sort by key columns, gpos as tiebreak, so the
         # first row of each run carries the batch-minimal gpos.
         order = np.lexsort((gpos, *reversed(cols)))
-        boundary = self._group_boundaries(cols, order)
+        keys = pack_keys(cols, self._dtypes)[order]
+        boundary = np.ones(n, dtype=bool)
+        boundary[1:] = keys[1:] != keys[:-1]
         starts = np.flatnonzero(boundary)
-        group_id = np.cumsum(boundary) - 1
         inverse = np.empty(n, dtype=np.int64)
-        inverse[order] = group_id
-
-        u_cols = tuple(col[order][starts] for col in cols)
-        u_count = np.diff(np.append(starts, n)).astype(np.int64)
-        u_first = gpos[order][starts].astype(np.int64)
+        inverse[order] = np.cumsum(boundary) - 1
+        representative = order[starts]
+        u_key = keys[starts]
+        u_count = np.diff(np.append(starts, n))
+        u_first = gpos[representative].astype(np.int64)
         u_payload = (
-            payload[order][starts].astype(np.int64)
-            if track_payload
-            else np.zeros(len(starts), dtype=np.int64)
+            np.zeros(starts.size, dtype=np.int64)
+            if payload is None
+            else payload[representative].astype(np.int64)
         )
 
-        if self._keys is None:
-            self._keys = u_cols
-            self._count = u_count
-            self._first = u_first
-            self._uid = np.arange(len(starts), dtype=np.int64)
-            self._next_uid = len(starts)
+        # Keys already in the table keep their uid and prior state; new
+        # keys take fresh uids numbered by their batch position.
+        pos, hit = self._lookup(u_key)
+        at = pos[hit]
+        prior_count = np.zeros(starts.size, dtype=np.int64)
+        prior_count[hit] = self._count[at]
+        prior_first = u_first.copy()
+        prior_first[hit] = self._first[at]
+        prior_payload = u_payload.copy()
+        if track_payload:
+            prior_payload[hit] = self._payload[at]
+        uid = self._next_uid + np.arange(starts.size, dtype=np.int64)
+        uid[hit] = self._uid[at]
+        self._next_uid += starts.size
+
+        # The payload follows whichever row holds the strictly smaller
+        # first gpos; on a tie the table's row stays.
+        total_count = prior_count + u_count
+        first = np.minimum(prior_first, u_first)
+        first_payload = np.where(u_first < prior_first, u_payload, prior_payload)
+
+        self._count[at] = total_count[hit]
+        self._first[at] = first[hit]
+        if track_payload:
+            self._payload[at] = first_payload[hit]
+        fresh = np.flatnonzero(~hit)
+        if fresh.size:
+            # One insert of the new keys at their sorted positions.
+            is_new = np.zeros(self._count.size + fresh.size, dtype=bool)
+            is_new[pos[fresh] + np.arange(fresh.size)] = True
+            self._key = _spliced(self._key, u_key[fresh], is_new)
+            self._count = _spliced(self._count, u_count[fresh], is_new)
+            self._first = _spliced(self._first, u_first[fresh], is_new)
+            self._uid = _spliced(self._uid, uid[fresh], is_new)
             if track_payload:
-                self._payload = u_payload
-            prior = np.zeros(len(starts), dtype=np.int64)
-            return KeyFold(
-                inverse, prior, u_count.copy(), u_first.copy(), u_payload,
-                self._uid.copy(), u_first.copy(), u_payload.copy(),
-            )
-
-        # Merge the batch uniques into the table (both sides key-sorted; a
-        # lexsort of the concatenation keeps the code simple, and the table
-        # being nearly sorted keeps it cheap).
-        m_cols = tuple(np.concatenate([t, u]) for t, u in zip(self._keys, u_cols))
-        tag = np.concatenate([
-            np.zeros(self._count.size, dtype=np.int8),
-            np.ones(len(starts), dtype=np.int8),
-        ])
-        m_count = np.concatenate([self._count, u_count])
-        m_first = np.concatenate([self._first, u_first])
-        fresh_uids = self._next_uid + np.arange(len(starts), dtype=np.int64)
-        self._next_uid += len(starts)
-        m_uid = np.concatenate([self._uid, fresh_uids])
-
-        morder = np.lexsort((tag, *reversed(m_cols)))
-        mboundary = self._group_boundaries(m_cols, morder)
-        run_starts = np.flatnonzero(mboundary)
-        run_id = np.cumsum(mboundary) - 1
-        m = morder.size
-
-        count_sorted = m_count[morder]
-        first_sorted = m_first[morder]
-        uid_sorted = m_uid[morder]
-        new_count = np.add.reduceat(count_sorted, run_starts)
-        new_first = np.minimum.reduceat(first_sorted, run_starts)
-        # Table entries sort before batch entries (the tag), so the run
-        # head is the pre-existing key when there is one: its uid, first
-        # and payload are the key's stable identity and prior state.
-        new_uid = uid_sorted[run_starts]
-        prior_first = first_sorted[run_starts]
-        del count_sorted
-
-        # Runs have at most two entries (table + batch); the payload follows
-        # whichever entry holds the smaller first-gpos.
-        run_len = np.diff(np.append(run_starts, m))
-        second = run_starts + 1
-        two = run_len == 2
-        pick = run_starts.copy()
-        pick[two] = np.where(
-            first_sorted[np.minimum(second, m - 1)][two] < first_sorted[run_starts][two],
-            second[two],
-            run_starts[two],
-        )
-        del first_sorted
-        if track_payload:
-            payload_sorted = np.concatenate([self._payload, u_payload])[morder]
-            new_payload = payload_sorted[pick]
-            prior_payload = payload_sorted[run_starts]
-        else:
-            new_payload = np.zeros(run_starts.size, dtype=np.int64)
-            prior_payload = new_payload
-
-        self._keys = tuple(col[morder][run_starts] for col in m_cols)
-        del m_cols
-        self._count = new_count.astype(np.int64)
-        self._first = new_first
-        self._uid = new_uid
-        if track_payload:
-            self._payload = new_payload
-
-        # Map each batch key to its merged run; batch entries appear in the
-        # merged order in the same sorted order as the batch's own uniques.
-        batch_runs = run_id[np.flatnonzero(tag[morder] == 1)]
-        total_count = new_count[batch_runs]
-        prior_count = total_count - u_count
+                self._payload = _spliced(self._payload, u_payload[fresh], is_new)
         return KeyFold(
-            inverse,
-            prior_count.astype(np.int64),
-            total_count.astype(np.int64),
-            new_first[batch_runs],
-            new_payload[batch_runs],
-            new_uid[batch_runs],
-            prior_first[batch_runs],
-            prior_payload[batch_runs],
+            inverse, prior_count, total_count, first, first_payload, uid,
+            prior_first, prior_payload, representative,
         )
 
     def _empty_merge(self, num_other_uids: int) -> KeyMerge:
@@ -367,95 +388,75 @@ class CompositeKeyCounter:
         The two counters must have folded *disjoint* row sets; which side
         folded the earlier range does not matter — counts add, first
         positions take the minimum, and the payload follows the entry with
-        the smaller first, so the merged table equals the sequential fold
-        of both row sets in any order.  Returns the uid translation maps
-        and the threshold promotions (see :class:`KeyMerge`).
+        the strictly smaller first (this side's on a tie), so the merged
+        table equals the sequential fold of both row sets in any order.
+        Returns the uid translation maps and the threshold promotions (see
+        :class:`KeyMerge`).  ``other`` must not be used afterwards: its
+        arrays may be adopted and updated in place.
         """
-        if other._keys is None:
+        if other._key is None:
             return self._empty_merge(other._next_uid)
-        if self._keys is None:
-            self._keys = other._keys
-            self._count = other._count
-            self._first = other._first
-            self._uid = other._uid
-            self._next_uid = other._next_uid
-            self._payload = other._payload
+        if self._key is None:
+            vars(self).update(vars(other))
             return self._empty_merge(other._next_uid)
+        if other._dtypes != self._dtypes:
+            raise TypeError(
+                f"cannot merge key tables over {other._dtypes} into {self._dtypes}"
+            )
 
         track = self._payload is not None or other._payload is not None
         n_s, n_o = self._count.size, other._count.size
-        m_cols = tuple(np.concatenate([a, b]) for a, b in zip(self._keys, other._keys))
-        tag = np.concatenate([
-            np.zeros(n_s, dtype=np.int8), np.ones(n_o, dtype=np.int8),
-        ])
-        m_count = np.concatenate([self._count, other._count])
-        m_first = np.concatenate([self._first, other._first])
-        s_payload = (
-            self._payload if self._payload is not None
-            else np.zeros(n_s, dtype=np.int64)
-        )
-        o_payload = (
-            other._payload if other._payload is not None
-            else np.zeros(n_o, dtype=np.int64)
-        )
-        m_payload = np.concatenate([s_payload, o_payload])
-        m_uid = np.concatenate([self._uid, other._uid])
+        s_payload = self._payload if self._payload is not None else np.zeros(n_s, np.int64)
+        o_payload = other._payload if other._payload is not None else np.zeros(n_o, np.int64)
 
-        morder = np.lexsort((tag, *reversed(m_cols)))
-        boundary = self._group_boundaries(m_cols, morder)
-        run_starts = np.flatnonzero(boundary)
-        run_id = np.cumsum(boundary) - 1
-        m = morder.size
+        # Other's keys present here update their row; the rest insert.
+        pos, hit = self._lookup(other._key)
+        at = pos[hit]
+        fresh = ~hit
+        merged = n_s + np.count_nonzero(fresh)
+        # Merged index of every row of either side (the dense fresh uids).
+        is_other = np.zeros(merged, dtype=bool)
+        is_other[pos[fresh] + np.arange(merged - n_s)] = True
+        run_self = np.flatnonzero(~is_other)
+        run_other = np.empty(n_o, dtype=np.int64)
+        run_other[hit] = run_self[at]
+        run_other[fresh] = np.flatnonzero(is_other)
 
-        count_sorted = m_count[morder]
-        first_sorted = m_first[morder]
-        payload_sorted = m_payload[morder]
-        new_count = np.add.reduceat(count_sorted, run_starts).astype(np.int64)
-        new_first = np.minimum.reduceat(first_sorted, run_starts)
-
-        # Runs have at most two entries (one per side); the payload follows
-        # whichever entry holds the smaller first-gpos, as in fold().
-        run_len = np.diff(np.append(run_starts, m))
-        second = run_starts + 1
-        two = run_len == 2
-        pick = run_starts.copy()
-        pick[two] = np.where(
-            first_sorted[np.minimum(second, m - 1)][two] < first_sorted[run_starts][two],
-            second[two],
-            run_starts[two],
-        )
-        new_payload = payload_sorted[pick]
-
-        # Dense fresh uids (the run ids); translate each side's old uids.
-        uid_sorted = m_uid[morder]
-        tag_sorted = tag[morder]
         uid_map_self = np.full(self._next_uid, -1, dtype=np.int64)
+        uid_map_self[self._uid] = run_self
         uid_map_other = np.full(other._next_uid, -1, dtype=np.int64)
-        from_self = tag_sorted == 0
-        uid_map_self[uid_sorted[from_self]] = run_id[from_self]
-        uid_map_other[uid_sorted[~from_self]] = run_id[~from_self]
+        uid_map_other[other._uid] = run_other
 
-        # Retained singletons whose run now has two or more members.
-        promote = (count_sorted == 1) & (new_count[run_id] >= 2)
-        promoted_keys = (
-            tuple(col[morder][promote] for col in m_cols) if promote.any() else ()
-        )
-        promoted = KeyMerge(
+        # Only keys on both sides can promote: a side's retained singleton
+        # joins the member set once the union holds two or more members.
+        pair_first = np.stack([self._first[at], other._first[hit]], axis=1)
+        pair_payload = np.stack([s_payload[at], o_payload[hit]], axis=1)
+        promote = np.stack([self._count[at] == 1, other._count[hit] == 1], axis=1)
+        promoted_rows = np.repeat(np.flatnonzero(hit), promote.sum(axis=1))
+        result = KeyMerge(
             uid_map_self=uid_map_self,
             uid_map_other=uid_map_other,
-            promoted_gpos=first_sorted[promote],
-            promoted_payload=payload_sorted[promote],
-            promoted_uid=run_id[promote],
-            promoted_keys=promoted_keys,
+            promoted_gpos=pair_first[promote],
+            promoted_payload=pair_payload[promote],
+            promoted_uid=run_other[promoted_rows],
+            promoted_keys=(
+                unpack_keys(other._key[promoted_rows], self._dtypes)
+                if promoted_rows.size else ()
+            ),
         )
 
-        self._keys = tuple(col[morder][run_starts] for col in m_cols)
-        self._count = new_count
-        self._first = new_first
-        self._uid = np.arange(run_starts.size, dtype=np.int64)
-        self._next_uid = run_starts.size
-        self._payload = new_payload if track else None
-        return promoted
+        self._count[at] += other._count[hit]
+        self._first[at] = pair_first.min(axis=1)
+        s_payload[at] = np.where(
+            pair_first[:, 1] < pair_first[:, 0], pair_payload[:, 1], pair_payload[:, 0]
+        )
+        self._key = _spliced(self._key, other._key[fresh], is_other)
+        self._count = _spliced(self._count, other._count[fresh], is_other)
+        self._first = _spliced(self._first, other._first[fresh], is_other)
+        self._payload = _spliced(s_payload, o_payload[fresh], is_other) if track else None
+        self._uid = np.arange(merged, dtype=np.int64)
+        self._next_uid = merged
+        return result
 
 
 def merge_uid_buffers(

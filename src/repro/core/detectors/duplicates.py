@@ -186,9 +186,8 @@ class DuplicateTransferPass(StreamingPass):
             # still a singleton) joins the group now.
             self._gpos.append(fold.prior_first_gpos[crossed])
             self._group.append(fold.key_uid[crossed])
-            # recover the key columns from any batch member of the key
-            _, first_row_of_key = np.unique(fold.inverse, return_index=True)
-            representative = first_row_of_key[np.flatnonzero(crossed)]
+            # recover the key columns from a batch member of the key
+            representative = fold.representative[crossed]
             self._hash.append(hashes[representative])
             self._dest.append(dests[representative])
 

@@ -198,8 +198,7 @@ class RepeatedAllocationPass(StreamingPass):
             self._alloc.append(fold.prior_first_gpos[crossed])
             self._delete.append(fold.prior_payload[crossed])
             self._group.append(fold.key_uid[crossed])
-            _, first_row_of_key = np.unique(fold.inverse, return_index=True)
-            representative = first_row_of_key[np.flatnonzero(crossed)]
+            representative = fold.representative[crossed]
             self._host.append(host[representative])
             self._dev.append(dev[representative])
             self._nbytes.append(nbytes[representative])

@@ -143,6 +143,36 @@ def test_numpy_values_round_trip_exactly():
     assert decode_value(encode_value(dtype)) == dtype
 
 
+def test_structured_dtypes_keep_their_fields():
+    """A structured dtype must not decode as bare void (``|V12``)."""
+    layout = np.dtype([("k", ">u8"), ("d", "<i4")])
+    rows = np.zeros(3, dtype=layout)
+    rows["k"] = [1, 2**63, 2**64 - 5]
+    rows["d"] = [-1, 0, 7]
+
+    out = decode_value(encode_value(rows))
+    assert out.dtype == layout
+    assert out["k"].tolist() == [1, 2**63, 2**64 - 5]
+    assert out["d"].tolist() == [-1, 0, 7]
+
+    scalar = decode_value(encode_value(rows[2]))
+    assert scalar.dtype == layout and scalar["k"] == 2**64 - 5
+    assert decode_value(encode_value(layout)) == layout
+
+    padded = np.dtype({"names": ["a", "b"], "formats": ["u1", "<i8"],
+                       "offsets": [0, 8], "itemsize": 16})
+    nested = np.dtype([("a", [("x", "<f4"), ("y", "<i2", (3,))]), ("b", "S3")])
+    for dtype in (padded, nested):
+        assert decode_value(encode_value(dtype)) == dtype
+        arr = np.zeros(2, dtype=dtype)
+        assert decode_value(encode_value(arr)).dtype == dtype
+
+
+def test_codec_refuses_object_arrays():
+    with pytest.raises(CarryCodecError):
+        encode_value(np.array([object()], dtype=object))
+
+
 def test_codec_rejects_garbage():
     with pytest.raises(CarryCodecError):
         decode_carries(b"NOPE" + b"\x00" * 16)

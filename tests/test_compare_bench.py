@@ -170,3 +170,18 @@ def test_new_stats_fields_are_neutral_against_old_baselines(tmp_path, capsys):
         ["--baseline", str(cur), "--current", str(base)]
     )
     assert rc == 0
+
+
+def test_hostile_record_publishes_gated_rates():
+    """The hostile store analysis is watched by the gate, not only logged."""
+    record = json.loads((_SCRIPT.parent.parent / "BENCH_hostile.json").read_text())
+    metrics = compare_bench.extract_metrics(record)
+    assert set(metrics) == {
+        "generate.events_per_sec", "analyze_store.events_per_sec",
+    }
+    assert metrics["analyze_store.events_per_sec"] == pytest.approx(
+        record["analyze_store_events_per_sec"]
+    )
+    assert metrics["generate.events_per_sec"] == pytest.approx(
+        record["generate_events_per_sec"]
+    )
